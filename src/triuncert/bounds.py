@@ -3,7 +3,10 @@
 ``u_left`` is the sum of the two post-measurement conditional entropies
 S(X|B) + S(Z|C); ``u_right`` is the state-dependent lower bound
 q_MU + max(0, delta), where ``delta`` combines mutual-information and
-Holevo terms of the two-body reductions. Comparison bounds (the
+Holevo terms of the two-body reductions. Measuring A turns rho_AB into a
+classical-quantum state, for which S(X|B) = H(X) - I(X:B) with I(X:B) the
+Holevo quantity; every post-measurement entropy is therefore computed from
+the outcome ensemble of rho_AB or rho_AC. Comparison bounds (the
 state-independent incompatibility bound, the memory-assisted bipartite bound,
 and the memoryless bound) live here too, along with the closed form that the
 bound takes on X-structure states.
@@ -17,17 +20,17 @@ import numpy as np
 
 from .entropy import (
     EIGENVALUE_CUTOFF,
+    _holevo_sum,
     binary_entropy,
     conditional_entropy,
-    holevo,
     shannon,
     von_neumann,
 )
 from .errors import DomainError
 from .measurement import (
     MeasurementBasis,
+    measurement_ensemble,
     outcome_distribution,
-    post_measurement_state,
     q_mu,
 )
 from .states import DensityMatrix, XStateParams, partial_trace, purity
@@ -126,30 +129,31 @@ def full_report(
     z: MeasurementBasis,
     seed: int | None = None,
 ) -> BoundReport:
-    """Evaluate every report field in one pass over shared reductions."""
+    """Evaluate every report field in one pass over shared reductions.
+
+    Only rho_AB and rho_AC are traced out of rho_ABC; the one-qubit marginals
+    come from them. Each conditional entropy uses S(X|B) = H(X) - I(X:B), with
+    the Holevo quantity I(X:B) taken from the outcome ensemble of rho_AB in
+    the X basis (likewise for Z and for memory C)."""
     if rho_abc.subsystem_count != 3:
         raise DomainError(f"expected a three-subsystem state, got dims {rho_abc.dims}")
     q = q_mu(x, z)
     rho_ab = partial_trace(rho_abc, (0, 1))
     rho_ac = partial_trace(rho_abc, (0, 2))
-    rho_a = partial_trace(rho_abc, (0,))
-    rho_b = partial_trace(rho_abc, (1,))
-    rho_c = partial_trace(rho_abc, (2,))
+    rho_a = partial_trace(rho_ab, (0,))
     s_a = von_neumann(rho_a)
-    s_b = von_neumann(rho_b)
-    s_c = von_neumann(rho_c)
-
-    s_xb = von_neumann(post_measurement_state(rho_ab, x)) - s_b
-    s_zb = von_neumann(post_measurement_state(rho_ab, z)) - s_b
-    s_zc = von_neumann(post_measurement_state(rho_ac, z)) - s_c
-    s_xc = von_neumann(post_measurement_state(rho_ac, x)) - s_c
-
-    i_ab = s_a + s_b - von_neumann(rho_ab)
-    i_ac = s_a + s_c - von_neumann(rho_ac)
-    i_zb = holevo(rho_ab, z)
-    i_xc = holevo(rho_ac, x)
+    s_b = von_neumann(partial_trace(rho_ab, (1,)))
+    s_c = von_neumann(partial_trace(rho_ac, (1,)))
     h_x = shannon(outcome_distribution(rho_a, x))
     h_z = shannon(outcome_distribution(rho_a, z))
+
+    i_xb = _holevo_sum(measurement_ensemble(rho_ab, x), s_b)
+    i_zb = _holevo_sum(measurement_ensemble(rho_ab, z), s_b)
+    i_zc = _holevo_sum(measurement_ensemble(rho_ac, z), s_c)
+    i_xc = _holevo_sum(measurement_ensemble(rho_ac, x), s_c)
+    s_xb, s_zb, s_zc, s_xc = h_x - i_xb, h_z - i_zb, h_z - i_zc, h_x - i_xc
+    i_ab = s_a + s_b - von_neumann(rho_ab)
+    i_ac = s_a + s_c - von_neumann(rho_ac)
 
     delta_val = q + 2.0 * s_a - (i_ab + i_ac) + (i_zb + i_xc) - h_x - h_z
     return BoundReport(

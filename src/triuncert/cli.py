@@ -17,6 +17,7 @@ from .experiments import (
     FORMATS,
     SCENARIOS,
     ScenarioConfig,
+    _format_cell,
     run_eval,
     run_scenario,
     write_result,
@@ -66,17 +67,7 @@ def render_eval(result: dict, format: str) -> str:
     for section, columns in (("bounds", BOUND_REPORT_COLUMNS), ("keyrate", KEY_REPORT_COLUMNS)):
         lines.append(f"# {section}")
         lines.append(",".join(columns))
-        values = result[section]
-        cells = []
-        for name in columns:
-            val = values[name]
-            if val is None:
-                cells.append("")
-            elif isinstance(val, bool):
-                cells.append("1" if val else "0")
-            else:
-                cells.append("%.17g" % val)
-        lines.append(",".join(cells))
+        lines.append(",".join(_format_cell(result[section][name]) for name in columns))
     return "\n".join(lines) + "\n"
 
 

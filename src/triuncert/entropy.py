@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .measurement import MeasurementBasis, measurement_ensemble
+from .measurement import MeasurementBasis, MeasurementEnsemble, measurement_ensemble
 from .states import DensityMatrix, partial_trace
 
 EIGENVALUE_CUTOFF = 1e-12
@@ -85,16 +85,22 @@ def binary_entropy(y: float) -> float:
     return out
 
 
-def holevo(rho: DensityMatrix, basis: MeasurementBasis, subsystem: int = 0) -> float:
-    """Accessible-information bound S(rho_rest) - sum_i p_i S(rho_i_rest) for a
-    measurement on one subsystem."""
-    ensemble = measurement_ensemble(rho, basis, subsystem)
-    rest = tuple(i for i in range(rho.subsystem_count) if i != subsystem)
-    out = von_neumann(partial_trace(rho, rest))
+def _holevo_sum(ensemble: MeasurementEnsemble, s_rest: float) -> float:
+    """I(outcome : rest) = S(rest) - sum_i p_i S(rho_i_rest) of a measurement
+    ensemble whose average state, the unmeasured rest, has entropy ``s_rest``."""
+    out = s_rest
     for p, cond in zip(ensemble.probs, ensemble.cond_states):
         if p > EIGENVALUE_CUTOFF:
             out -= p * von_neumann(cond)
     return out
+
+
+def holevo(rho: DensityMatrix, basis: MeasurementBasis, subsystem: int = 0) -> float:
+    """Accessible-information bound S(rho_rest) - sum_i p_i S(rho_i_rest) for a
+    measurement on one subsystem; rho_rest is the ensemble's average state."""
+    ensemble = measurement_ensemble(rho, basis, subsystem)
+    rest = sum(p * c.matrix for p, c in zip(ensemble.probs, ensemble.cond_states))
+    return _holevo_sum(ensemble, _plogp_sum(np.linalg.eigvalsh(rest)))
 
 
 def joint_outcome_table(

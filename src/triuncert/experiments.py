@@ -28,6 +28,7 @@ from .measurement import MeasurementBasis, pauli_basis
 from .states import (
     DensityMatrix,
     XStateParams,
+    _X_PAIRS,
     density_matrix_from_json,
     make_ghz,
     make_w,
@@ -58,8 +59,6 @@ XSTATE_TOL = 1e-8
 
 PURITY_APPENDED_PURE = 10
 PURITY_BINS = 10
-
-_X_PAIRS = ((0, 7), (1, 6), (2, 5), (3, 4))
 
 
 @dataclass

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import full_report
-from .entropy import classical_conditional_entropy, conditional_entropy
+from .entropy import classical_conditional_entropy
 from .errors import DomainError
-from .measurement import MeasurementBasis, post_measurement_state, q_mu
+from .measurement import MeasurementBasis
 from .states import DensityMatrix, partial_trace
 
 KEY_REPORT_COLUMNS = (
@@ -60,11 +60,8 @@ def _check_abe(rho_abe: DensityMatrix) -> None:
 
 def _quantum_parts(rho_abe: DensityMatrix, x: MeasurementBasis, z: MeasurementBasis):
     _check_abe(rho_abe)
-    rho_ab = partial_trace(rho_abe, (0, 1))
-    s_xb = conditional_entropy(post_measurement_state(rho_ab, x), (1,))
-    s_zb = conditional_entropy(post_measurement_state(rho_ab, z), (1,))
-    delta_val = full_report(rho_abe, x, z).delta
-    return q_mu(x, z), delta_val, s_xb, s_zb, rho_ab
+    rep = full_report(rho_abe, x, z)
+    return rep.q_mu, rep.delta, rep.s_xb, rep.s_zb, partial_trace(rho_abe, (0, 1))
 
 
 def key_rate_berta(rho_abe: DensityMatrix, x: MeasurementBasis, z: MeasurementBasis) -> float:

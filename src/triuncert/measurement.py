@@ -32,6 +32,8 @@ class MeasurementBasis:
         v = np.array(self.vectors, dtype=np.complex128)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ShapeError(f"basis must be a square column set, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise DomainError("basis has non-finite (NaN or infinite) entries")
         d = v.shape[0]
         gram_defect = float(np.max(np.abs(dagger(v) @ v - np.eye(d))))
         if gram_defect > ORTHONORMALITY_TOL:

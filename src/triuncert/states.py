@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import dagger, eig_hermitian, hermiticity_defect
+from .linalg import HERMITICITY_TOL, dagger, eig_hermitian, hermiticity_defect
 
-HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE_SLACK = -1e-9
 
@@ -42,6 +41,8 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape != (total, total):
             raise ShapeError(f"matrix shape {m.shape} does not match dims {dims}")
+        if not np.isfinite(m).all():
+            raise DomainError("matrix has non-finite (NaN or infinite) entries")
         defect = hermiticity_defect(m)
         if defect > HERMITICITY_TOL:
             raise DomainError(f"not Hermitian: defect {defect:.3e} > {HERMITICITY_TOL:.0e}")

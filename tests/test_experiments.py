@@ -24,6 +24,25 @@ from triuncert.experiments import (
 )
 from triuncert.states import density_matrix_to_json, make_ghz, maximally_mixed
 
+# `eval` CSV of the beta = pi/4 GHZ state in Pauli x/z: the empty seed cell, the
+# %.17g floats and the 0/1 boolean come from the shared cell formatter.
+GHZ_EVAL_CSV = """\
+# scenario=eval
+# seed=0
+# version=0.1.0
+# state={path}
+# basis_x=X
+# basis_z=Z
+# bounds
+seed,purity,u_left,u_right,delta,q_mu,renes,s_xb,s_zc,s_zb,s_xc,i_ab,i_ac,i_zb,i_xc,h_x,h_z,s_a
+,1,0.99999999999999978,1.0000000000000002,0,1.0000000000000002,1.0000000000000002,\
+0.99999999999999978,0,0,0.99999999999999978,1,1,1,2.2204460492503131e-16,1,1,1
+# keyrate
+k_berta,k_improved,k_measured,delta,s_xb,s_zb,s_xx,s_zz,symmetric
+4.4408920985006262e-16,4.4408920985006262e-16,4.4408920985006262e-16,0,0.99999999999999978,0,\
+0.99999999999999978,0,0
+"""
+
 
 def small_cfg(scenario, **kw):
     defaults = dict(points=11, samples=40, seed=0)
@@ -212,6 +231,11 @@ class TestEval:
         with pytest.raises(json.JSONDecodeError):
             run_eval(cfg)
 
+    def test_csv_rendering_is_pinned(self, tmp_path):
+        path = self.write_state(tmp_path, make_ghz(math.pi / 4))
+        text = cli.render_eval(run_eval(ScenarioConfig(scenario="eval", state_path=path)), "csv")
+        assert text == GHZ_EVAL_CSV.format(path=path)
+
     def test_missing_state_path(self):
         with pytest.raises(DomainError):
             run_eval(ScenarioConfig(scenario="eval"))
@@ -286,6 +310,25 @@ class TestCli:
         rc = cli.main(["eval", "--state", str(path)])
         assert rc == 2
         assert "min eigenvalue" in capsys.readouterr().err
+
+    def test_non_finite_state_exits_2(self, tmp_path, capsys):
+        payload = density_matrix_to_json(maximally_mixed())
+        payload["re"][0][1] = payload["re"][1][0] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        rc = cli.main(["eval", "--state", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+
+    def test_non_finite_basis_exits_2(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(density_matrix_to_json(maximally_mixed())))
+        basis = tmp_path / "nan_basis.json"
+        basis.write_text('{"vectors": [{"re": [1, 0], "im": [0, 0]}, {"re": [NaN, 1], "im": [0, 0]}]}')
+        rc = cli.main(["eval", "--state", str(state), "--basis-x", str(basis)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_violations_exit_3(self, tmp_path, monkeypatch, capsys):
         fake = SweepResult(meta={"scenario": "ghz"}, columns=["a"], rows=[(1.0,)], violations=2)

@@ -63,6 +63,12 @@ def test_non_orthonormal_basis_rejected():
         MeasurementBasis("bad", np.array([[1, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_basis_rejected(bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        MeasurementBasis("bad", np.array([[1, bad], [0, 1]], dtype=complex))
+
+
 class TestOverlap:
     def test_x_vs_z_is_half(self):
         assert abs(overlap_c(X, Z) - 0.5) <= 1e-12
@@ -196,3 +202,9 @@ def test_basis_json_structure_errors():
         basis_from_json({"label": "oops"})
     with pytest.raises(DomainError):
         basis_from_json({"vectors": [{"re": [1, 0]}]})
+
+
+def test_basis_json_non_finite_rejected():
+    obj = json.loads('{"vectors": [{"re": [1, 0], "im": [0, 0]}, {"re": [NaN, 1], "im": [0, 0]}]}')
+    with pytest.raises(DomainError, match="non-finite"):
+        basis_from_json(obj)

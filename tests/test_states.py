@@ -40,6 +40,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(DomainError, match="min eigenvalue"):
             DensityMatrix((2,), np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix((2,), m)
+
     def test_rejects_dims_mismatch(self):
         with pytest.raises(ShapeError):
             DensityMatrix((2, 2), np.eye(2) / 2)
@@ -231,3 +238,8 @@ class TestJsonRoundTrip:
     def test_non_numeric_rejected(self):
         with pytest.raises(DomainError):
             density_matrix_from_json({"dims": [2], "re": [["a", 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+
+    def test_non_finite_rejected(self):
+        payload = json.loads('{"dims": [2], "re": [[0.5, NaN], [NaN, 0.5]], "im": [[0, 0], [0, 0]]}')
+        with pytest.raises(DomainError, match="non-finite"):
+            density_matrix_from_json(payload)
