@@ -5,12 +5,14 @@ lower bound built from mutual information and Holevo quantities, the classic
 comparison bounds, and the secret-key-rate bounds these imply. Scenario
 runners reproduce the standard sweeps (GHZ/W/Werner families, random-state
 clouds, X-state closed-form checks) as deterministic CSV/JSON tables.
+Reports are evaluated over (N, 8, 8) stacks of states (``full_report_batch``,
+``key_report_batch``); the one-state reports are batches of one.
 """
 
 __version__ = "0.1.0"
 
 from .errors import DomainError, ShapeError
-from .linalg import EigenDecomposition, dagger, eig_hermitian, kron, matmul
+from .linalg import EigenDecomposition, dagger, eig_hermitian, kron
 from .states import (
     DensityMatrix,
     RandomStateRecipe,
@@ -27,6 +29,8 @@ from .states import (
     purity,
     random_pure_state,
     random_state,
+    random_states,
+    validate_density_stack,
     werner_params,
 )
 from .measurement import (
@@ -57,6 +61,7 @@ from .bounds import (
     berta_bound,
     delta,
     full_report,
+    full_report_batch,
     memoryless_bound,
     renes_bound,
     u_left,
@@ -70,6 +75,7 @@ from .keyrate import (
     key_rate_improved,
     key_rate_measured,
     key_report,
+    key_report_batch,
 )
 from .experiments import (
     SCENARIOS,

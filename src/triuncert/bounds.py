@@ -10,6 +10,11 @@ the outcome ensemble of rho_AB or rho_AC. Comparison bounds (the
 state-independent incompatibility bound, the memory-assisted bipartite bound,
 and the memoryless bound) live here too, along with the closed form that the
 bound takes on X-structure states.
+
+``full_report_batch`` is the one report implementation: it evaluates an
+(N, 8, 8) stack of three-qubit states with batched eigensolves and returns
+one array per report column. ``full_report`` is a batch of one, so its fields
+are bit-identical to the matching row of any batch.
 """
 
 from __future__ import annotations
@@ -20,20 +25,21 @@ import numpy as np
 
 from .entropy import (
     EIGENVALUE_CUTOFF,
-    _holevo_sum,
+    _plogp_sum,
+    _shannon_rows,
     binary_entropy,
     conditional_entropy,
-    shannon,
     von_neumann,
 )
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .measurement import (
     MeasurementBasis,
-    measurement_ensemble,
-    outcome_distribution,
+    _check_outcome_probs,
+    _ensemble_blocks,
+    _outcome_probs,
     q_mu,
 )
-from .states import DensityMatrix, XStateParams, partial_trace, purity
+from .states import DensityMatrix, XStateParams, _purities, _trace_out, validate_density_stack
 
 BOUND_REPORT_COLUMNS = (
     "seed",
@@ -89,6 +95,12 @@ class BoundReport:
         """Flat mapping in the documented column order."""
         return {name: getattr(self, name) for name in BOUND_REPORT_COLUMNS}
 
+    @classmethod
+    def from_columns(cls, columns: dict, i: int = 0) -> BoundReport:
+        """Row ``i`` of ``full_report_batch`` columns as a report."""
+        fields = {name: float(columns[name][i]) for name in BOUND_REPORT_COLUMNS if name != "seed"}
+        return cls(seed=columns["seed"][i], **fields)
+
 
 def renes_bound(x: MeasurementBasis, z: MeasurementBasis) -> float:
     """State-independent tripartite bound: the incompatibility q_MU."""
@@ -123,59 +135,107 @@ def x_state_analytic(params: XStateParams) -> float:
     return float(value)
 
 
+THREE_QUBITS = (2, 2, 2)
+TWO_QUBITS = (2, 2)
+
+
+def _state_stack(rhos) -> np.ndarray:
+    m = np.asarray(rhos, dtype=np.complex128)
+    if m.ndim != 3 or m.shape[1:] != (8, 8):
+        raise ShapeError(f"expected an (N, 8, 8) stack of three-qubit states, got shape {m.shape}")
+    return m
+
+
+def as_three_qubit_stack(rho_abc: DensityMatrix) -> np.ndarray:
+    """The (1, 8, 8) stack of a three-qubit DensityMatrix, for the batch kernels."""
+    if rho_abc.subsystem_count != 3:
+        raise DomainError(f"expected a three-subsystem state, got dims {rho_abc.dims}")
+    if rho_abc.dims != THREE_QUBITS:
+        raise ShapeError(f"expected three qubits, got dims {rho_abc.dims}")
+    return rho_abc.matrix[None]
+
+
+def full_report_batch(rhos, x: MeasurementBasis, z: MeasurementBasis, seeds=None) -> dict:
+    """Evaluate every report field for an (N, 8, 8) stack of three-qubit states.
+
+    Returns {column: array of length N} in ``BOUND_REPORT_COLUMNS`` order; the
+    ``seed`` column holds ``seeds`` (or None) for bookkeeping. The input stack
+    is validated once, and every derived stack passes the same checks a
+    DensityMatrix would: rho_AB, rho_AC, the one-qubit marginals and the
+    conditional blocks of each measurement ensemble, plus the outcome
+    probability and Shannon distribution checks.
+
+    Only rho_AB and rho_AC are traced out of rho_ABC; the one-qubit marginals
+    come from them. Each conditional entropy uses S(X|B) = H(X) - I(X:B), with
+    the Holevo quantity I(X:B) = S(B) - sum_i p_i S(rho_B|i) taken from the
+    outcome ensemble of rho_AB in the X basis (likewise for Z and for memory
+    C); outcomes at or below EIGENVALUE_CUTOFF are skipped."""
+    m = _state_stack(rhos)
+    if x.dim != 2 or z.dim != 2:
+        raise ShapeError(f"expected qubit bases, got dimensions {x.dim} and {z.dim}")
+    n = m.shape[0]
+    seed_column = np.empty(n, dtype=object)
+    seed_column[:] = [None] * n if seeds is None else list(seeds)
+    validate_density_stack(m)
+    q = q_mu(x, z)
+    # pairs[:, 0] = rho_AB, pairs[:, 1] = rho_AC; the second qubit of each is B or C
+    pairs = np.stack([_trace_out(m, THREE_QUBITS, (0, 1)), _trace_out(m, THREE_QUBITS, (0, 2))], axis=1)
+    s_ab, s_ac = _plogp_sum(validate_density_stack(pairs)).T
+    rho_a = _trace_out(pairs[:, 0], TWO_QUBITS, (0,))
+    singles = np.concatenate([rho_a[:, None], _trace_out(pairs, TWO_QUBITS, (1,))], axis=1)
+    s_single = _plogp_sum(validate_density_stack(singles))
+    s_a, s_memory = s_single[:, 0], s_single[:, 1:]
+    s_b, s_c = s_memory.T
+    h_x = _shannon_rows(_outcome_probs(rho_a, x))
+    h_z = _shannon_rows(_outcome_probs(rho_a, z))
+
+    # ensembles indexed [state, basis (x, z), memory (B, C), outcome]
+    ensembles = [_ensemble_blocks(pairs, TWO_QUBITS, basis, 0) for basis in (x, z)]
+    probs = np.stack([p for p, _ in ensembles], axis=1)
+    _check_outcome_probs(probs)
+    s_cond = _plogp_sum(validate_density_stack(np.stack([c for _, c in ensembles], axis=1)))
+    holevo = s_memory[:, None, :]
+    for i in range(probs.shape[-1]):
+        p = probs[..., i]
+        holevo = holevo - np.where(p > EIGENVALUE_CUTOFF, p * s_cond[..., i], 0.0)
+    (i_xb, i_xc), (i_zb, i_zc) = holevo.transpose(1, 2, 0)
+    s_xb, s_zb, s_zc, s_xc = h_x - i_xb, h_z - i_zb, h_z - i_zc, h_x - i_xc
+    i_ab = s_a + s_b - s_ab
+    i_ac = s_a + s_c - s_ac
+
+    delta_val = q + 2.0 * s_a - (i_ab + i_ac) + (i_zb + i_xc) - h_x - h_z
+    q_column = np.full(n, q)
+    return {
+        "seed": seed_column,
+        "purity": _purities(m),
+        "u_left": s_xb + s_zc,
+        "u_right": q + np.where(delta_val > 0.0, delta_val, 0.0),
+        "delta": delta_val,
+        "q_mu": q_column,
+        "renes": q_column,
+        "s_xb": s_xb,
+        "s_zc": s_zc,
+        "s_zb": s_zb,
+        "s_xc": s_xc,
+        "i_ab": i_ab,
+        "i_ac": i_ac,
+        "i_zb": i_zb,
+        "i_xc": i_xc,
+        "h_x": h_x,
+        "h_z": h_z,
+        "s_a": s_a,
+    }
+
+
 def full_report(
     rho_abc: DensityMatrix,
     x: MeasurementBasis,
     z: MeasurementBasis,
     seed: int | None = None,
 ) -> BoundReport:
-    """Evaluate every report field in one pass over shared reductions.
-
-    Only rho_AB and rho_AC are traced out of rho_ABC; the one-qubit marginals
-    come from them. Each conditional entropy uses S(X|B) = H(X) - I(X:B), with
-    the Holevo quantity I(X:B) taken from the outcome ensemble of rho_AB in
-    the X basis (likewise for Z and for memory C)."""
-    if rho_abc.subsystem_count != 3:
-        raise DomainError(f"expected a three-subsystem state, got dims {rho_abc.dims}")
-    q = q_mu(x, z)
-    rho_ab = partial_trace(rho_abc, (0, 1))
-    rho_ac = partial_trace(rho_abc, (0, 2))
-    rho_a = partial_trace(rho_ab, (0,))
-    s_a = von_neumann(rho_a)
-    s_b = von_neumann(partial_trace(rho_ab, (1,)))
-    s_c = von_neumann(partial_trace(rho_ac, (1,)))
-    h_x = shannon(outcome_distribution(rho_a, x))
-    h_z = shannon(outcome_distribution(rho_a, z))
-
-    i_xb = _holevo_sum(measurement_ensemble(rho_ab, x), s_b)
-    i_zb = _holevo_sum(measurement_ensemble(rho_ab, z), s_b)
-    i_zc = _holevo_sum(measurement_ensemble(rho_ac, z), s_c)
-    i_xc = _holevo_sum(measurement_ensemble(rho_ac, x), s_c)
-    s_xb, s_zb, s_zc, s_xc = h_x - i_xb, h_z - i_zb, h_z - i_zc, h_x - i_xc
-    i_ab = s_a + s_b - von_neumann(rho_ab)
-    i_ac = s_a + s_c - von_neumann(rho_ac)
-
-    delta_val = q + 2.0 * s_a - (i_ab + i_ac) + (i_zb + i_xc) - h_x - h_z
-    return BoundReport(
-        u_left=s_xb + s_zc,
-        delta=delta_val,
-        u_right=q + max(0.0, delta_val),
-        q_mu=q,
-        renes=q,
-        s_xb=s_xb,
-        s_zc=s_zc,
-        s_zb=s_zb,
-        s_xc=s_xc,
-        i_ab=i_ab,
-        i_ac=i_ac,
-        i_zb=i_zb,
-        i_xc=i_xc,
-        h_x=h_x,
-        h_z=h_z,
-        s_a=s_a,
-        purity=purity(rho_abc),
-        seed=seed,
-    )
+    """Every report field for one state: ``full_report_batch`` on a batch of one."""
+    stack = as_three_qubit_stack(rho_abc)
+    return BoundReport.from_columns(full_report_batch(stack, x, z, seeds=[seed]))
 
 
 def u_left(rho_abc: DensityMatrix, x: MeasurementBasis, z: MeasurementBasis) -> float:

@@ -2,7 +2,9 @@
 
 Eigenvalues/probabilities at or below ``EIGENVALUE_CUTOFF`` contribute zero
 (the 0 log 0 := 0 convention); negative conditional entropies are legitimate
-outputs for entangled states and are never clamped.
+outputs for entangled states and are never clamped. The private kernels
+(``_plogp_sum``, ``_shannon_rows``, ``_classical_conditional``) reduce over the
+last axis of a stack; the public functions apply them to one state.
 """
 
 from __future__ import annotations
@@ -12,24 +14,25 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .measurement import MeasurementBasis, MeasurementEnsemble, measurement_ensemble
+from .measurement import MeasurementBasis, measurement_ensemble
 from .states import DensityMatrix, partial_trace
 
 EIGENVALUE_CUTOFF = 1e-12
 
 
-def _plogp_sum(values: np.ndarray) -> float:
-    vals = values[values > EIGENVALUE_CUTOFF]
-    if vals.size == 0:
-        return 0.0
-    return float(-(vals * np.log2(vals)).sum())
+def _plogp_sum(values: np.ndarray) -> np.ndarray:
+    """-sum v log2 v over the last axis, skipping entries at or below
+    EIGENVALUE_CUTOFF (masked before the logarithm, so no warning)."""
+    kept = values > EIGENVALUE_CUTOFF
+    safe = np.where(kept, values, 1.0)
+    return -np.where(kept, safe * np.log2(safe), 0.0).sum(axis=-1)
 
 
 def von_neumann(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho), evaluated on the state's eigenvalues."""
     if not isinstance(rho, DensityMatrix):
         raise DomainError("von_neumann expects a validated DensityMatrix")
-    return _plogp_sum(rho.spectrum)
+    return float(_plogp_sum(rho.spectrum))
 
 
 def _normalized_subset(rho: DensityMatrix, subset, what: str) -> tuple[int, ...]:
@@ -59,17 +62,25 @@ def mutual_information(rho: DensityMatrix, cut) -> float:
     return von_neumann(partial_trace(rho, g1)) + von_neumann(partial_trace(rho, g2)) - von_neumann(rho)
 
 
+def _shannon_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropies of the distributions along the last axis of ``p``;
+    the first row with a negative entry or a sum off one names the error."""
+    if p.shape[-1] == 0:
+        raise DomainError("empty distribution")
+    low = p.min(axis=-1)
+    bad = low < -EIGENVALUE_CUTOFF
+    if bad.any():
+        raise DomainError(f"negative probability {low[bad][0]:.3e}")
+    total = p.sum(axis=-1)
+    bad = np.abs(total - 1.0) > 1e-10
+    if bad.any():
+        raise DomainError(f"distribution sums to {total[bad][0]:.12g}, expected 1")
+    return _plogp_sum(p)
+
+
 def shannon(dist) -> float:
     """Shannon entropy of a probability distribution."""
-    p = np.asarray(dist, dtype=np.float64).reshape(-1)
-    if p.size == 0:
-        raise DomainError("empty distribution")
-    if np.any(p < -EIGENVALUE_CUTOFF):
-        raise DomainError(f"negative probability {p.min():.3e}")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise DomainError(f"distribution sums to {total:.12g}, expected 1")
-    return _plogp_sum(p)
+    return float(_shannon_rows(np.asarray(dist, dtype=np.float64).reshape(-1)))
 
 
 def binary_entropy(y: float) -> float:
@@ -85,22 +96,45 @@ def binary_entropy(y: float) -> float:
     return out
 
 
-def _holevo_sum(ensemble: MeasurementEnsemble, s_rest: float) -> float:
-    """I(outcome : rest) = S(rest) - sum_i p_i S(rho_i_rest) of a measurement
-    ensemble whose average state, the unmeasured rest, has entropy ``s_rest``."""
-    out = s_rest
+def holevo(rho: DensityMatrix, basis: MeasurementBasis, subsystem: int = 0) -> float:
+    """Accessible-information bound S(rho_rest) - sum_i p_i S(rho_i_rest) for a
+    measurement on one subsystem; rho_rest is the ensemble's average state."""
+    ensemble = measurement_ensemble(rho, basis, subsystem)
+    rest = sum(p * c.matrix for p, c in zip(ensemble.probs, ensemble.cond_states))
+    out = float(_plogp_sum(np.linalg.eigvalsh(rest)))
     for p, cond in zip(ensemble.probs, ensemble.cond_states):
         if p > EIGENVALUE_CUTOFF:
             out -= p * von_neumann(cond)
     return out
 
 
-def holevo(rho: DensityMatrix, basis: MeasurementBasis, subsystem: int = 0) -> float:
-    """Accessible-information bound S(rho_rest) - sum_i p_i S(rho_i_rest) for a
-    measurement on one subsystem; rho_rest is the ensemble's average state."""
-    ensemble = measurement_ensemble(rho, basis, subsystem)
-    rest = sum(p * c.matrix for p, c in zip(ensemble.probs, ensemble.cond_states))
-    return _holevo_sum(ensemble, _plogp_sum(np.linalg.eigvalsh(rest)))
+def _joint_tables(rho_ab: np.ndarray, basis_a: MeasurementBasis, basis_b: MeasurementBasis) -> np.ndarray:
+    """Joint outcome tables p(i, j), shape (N, k, l), of an (N, kl, kl) stack
+    of two-subsystem states with dims (k, l) = the basis dimensions."""
+    dims = (basis_a.dim, basis_b.dim)
+    tensor = rho_ab.reshape((-1,) + dims + dims)
+    va, vb = basis_a.vectors, basis_b.vectors
+    table = np.einsum(
+        "nabcd,ai,bj,ci,dj->nij", tensor, va.conj(), vb.conj(), va, vb
+    ).real
+    return np.maximum(table, 0.0)
+
+
+def _classical_conditional(tables: np.ndarray) -> np.ndarray:
+    """H(A outcome | B outcome) of each (k, l) joint table in an (N, k, l) stack."""
+    flat = tables.reshape(tables.shape[:-2] + (tables.shape[-2] * tables.shape[-1],))
+    return _plogp_sum(flat) - _plogp_sum(tables.sum(axis=-2))
+
+
+def _check_joint_outcomes(
+    rho: DensityMatrix, basis_a: MeasurementBasis, basis_b: MeasurementBasis
+) -> None:
+    if rho.subsystem_count != 2:
+        raise DomainError(f"joint outcomes need exactly two subsystems, got dims {rho.dims}")
+    if rho.dims[0] != basis_a.dim or rho.dims[1] != basis_b.dim:
+        raise ShapeError(
+            f"basis dimensions ({basis_a.dim}, {basis_b.dim}) do not match state dims {rho.dims}"
+        )
 
 
 def joint_outcome_table(
@@ -108,18 +142,8 @@ def joint_outcome_table(
 ) -> np.ndarray:
     """Joint probabilities p(i, j) of measuring subsystems 0 and 1 of a
     two-subsystem state in the given bases."""
-    if rho.subsystem_count != 2:
-        raise DomainError(f"joint outcomes need exactly two subsystems, got dims {rho.dims}")
-    if rho.dims[0] != basis_a.dim or rho.dims[1] != basis_b.dim:
-        raise ShapeError(
-            f"basis dimensions ({basis_a.dim}, {basis_b.dim}) do not match state dims {rho.dims}"
-        )
-    tensor = rho.matrix.reshape(rho.dims + rho.dims)
-    va, vb = basis_a.vectors, basis_b.vectors
-    table = np.einsum(
-        "abcd,ai,bj,ci,dj->ij", tensor, va.conj(), vb.conj(), va, vb
-    ).real
-    return np.maximum(table, 0.0)
+    _check_joint_outcomes(rho, basis_a, basis_b)
+    return _joint_tables(rho.matrix[None], basis_a, basis_b)[0]
 
 
 def classical_conditional_entropy(
@@ -127,6 +151,5 @@ def classical_conditional_entropy(
 ) -> float:
     """Conditional Shannon entropy H(A outcome | B outcome) of the joint
     outcome table of local measurements on a two-subsystem state."""
-    table = joint_outcome_table(rho, basis_a, basis_b)
-    marginal_b = table.sum(axis=0)
-    return _plogp_sum(table.reshape(-1)) - _plogp_sum(marginal_b)
+    _check_joint_outcomes(rho, basis_a, basis_b)
+    return float(_classical_conditional(_joint_tables(rho.matrix[None], basis_a, basis_b))[0])

@@ -2,9 +2,11 @@
 
 Every runner is a pure function of its ScenarioConfig: the same config yields
 byte-identical output files. Random scenarios assign seed + index to sample i
-and write rows in index order. Violation counters track rows that break the
-inequalities each scenario is expected to satisfy; a nonzero count maps to CLI
-exit code 3.
+and write rows in index order. Each runner builds its states as one (N, 8, 8)
+stack, evaluates it with one ``full_report_batch`` (or ``key_report_batch``)
+call, and counts the rows that break the inequalities the scenario is
+expected to satisfy with array comparisons; a nonzero count maps to CLI exit
+code 3. ``run_eval`` takes both of its reports from one batch of one.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    BOUND_REPORT_COLUMNS,
-    full_report,
-    renes_bound,
+    BoundReport,
+    as_three_qubit_stack,
+    full_report_batch,
     x_state_analytic,
 )
 from .errors import DomainError
-from .keyrate import KEY_REPORT_COLUMNS, key_report
+from .keyrate import KEY_REPORT_COLUMNS, KeyRateReport, key_report_batch
 from .measurement import MeasurementBasis, pauli_basis
 from .states import (
     DensityMatrix,
@@ -36,7 +38,7 @@ from .states import (
     make_x_state,
     maximally_mixed,
     random_pure_state,
-    random_state,
+    random_states,
     werner_params,
 )
 
@@ -106,88 +108,83 @@ def _pauli_xz() -> tuple[MeasurementBasis, MeasurementBasis]:
     return pauli_basis("x"), pauli_basis("z")
 
 
+def _stack(states) -> np.ndarray:
+    return np.array([rho.matrix for rho in states])
+
+
+def _sweep_rows(grid, cols, *extra) -> list[tuple]:
+    """Rows (grid point, u_left, u_right, renes, *extra columns)."""
+    return list(zip(grid.tolist(), cols["u_left"].tolist(), cols["u_right"].tolist(),
+                    cols["renes"].tolist(), *(e.tolist() for e in extra)))
+
+
 def run_ghz(cfg: ScenarioConfig) -> SweepResult:
     """Sweep the GHZ-family angle; all bound columns should equal one."""
     x, z = _pauli_xz()
-    renes = renes_bound(x, z)
     betas = np.linspace(0.0, math.pi / 2, cfg.points)
-    rows = []
-    violations = 0
-    for beta in betas:
-        rep = full_report(make_ghz(float(beta)), x, z)
-        rows.append((float(beta), rep.u_left, rep.u_right, renes))
-        if abs(rep.u_left - 1.0) > THEOREM_TOL or abs(rep.u_right - 1.0) > THEOREM_TOL:
-            violations += 1
+    cols = full_report_batch(_stack(make_ghz(float(b)) for b in betas), x, z)
+    u_l, u_r = cols["u_left"], cols["u_right"]
+    bad = (np.abs(u_l - 1.0) > THEOREM_TOL) | (np.abs(u_r - 1.0) > THEOREM_TOL)
     return SweepResult(
         meta=_meta(cfg, points=cfg.points, beta_range="[0, pi/2]"),
         columns=["beta", "u_left", "u_right", "renes"],
-        rows=rows,
-        violations=violations,
+        rows=_sweep_rows(betas, cols),
+        violations=int(np.count_nonzero(bad)),
     )
 
 
 def run_w(cfg: ScenarioConfig) -> SweepResult:
     """Sweep the W-family angle theta at fixed alpha; the bound stays at one."""
     x, z = _pauli_xz()
-    renes = renes_bound(x, z)
     thetas = np.linspace(0.0, math.pi, cfg.points)
-    rows = []
-    violations = 0
-    for theta in thetas:
-        rep = full_report(make_w(float(theta), cfg.alpha), x, z)
-        rows.append((float(theta), rep.u_left, rep.u_right, renes))
-        if abs(rep.u_right - 1.0) > THEOREM_TOL or rep.u_left < 1.0 - THEOREM_TOL:
-            violations += 1
+    cols = full_report_batch(_stack(make_w(float(t), cfg.alpha) for t in thetas), x, z)
+    u_l, u_r = cols["u_left"], cols["u_right"]
+    bad = (np.abs(u_r - 1.0) > THEOREM_TOL) | (u_l < 1.0 - THEOREM_TOL)
     return SweepResult(
         meta=_meta(cfg, points=cfg.points, alpha=cfg.alpha, theta_range="[0, pi]"),
         columns=["theta", "u_left", "u_right", "renes"],
-        rows=rows,
-        violations=violations,
+        rows=_sweep_rows(thetas, cols),
+        violations=int(np.count_nonzero(bad)),
     )
 
 
 def run_werner(cfg: ScenarioConfig) -> SweepResult:
     """Sweep the Werner mixing weight; uncertainty, bound, and the closed form agree."""
     x, z = _pauli_xz()
-    renes = renes_bound(x, z)
     ps = np.linspace(0.0, 1.0, cfg.points)
-    rows = []
-    violations = 0
-    for p in ps:
-        rep = full_report(make_werner(float(p)), x, z)
-        analytic = x_state_analytic(werner_params(float(p)))
-        rows.append((float(p), rep.u_left, rep.u_right, renes, analytic))
-        if (
-            abs(rep.u_left - rep.u_right) > XSTATE_TOL
-            or abs(rep.u_left - analytic) > XSTATE_TOL
-            or rep.u_right < renes - RENES_TOL
-        ):
-            violations += 1
+    cols = full_report_batch(_stack(make_werner(float(p)) for p in ps), x, z)
+    analytic = np.array([x_state_analytic(werner_params(float(p))) for p in ps])
+    u_l, u_r, renes = cols["u_left"], cols["u_right"], cols["renes"]
+    bad = (
+        (np.abs(u_l - u_r) > XSTATE_TOL)
+        | (np.abs(u_l - analytic) > XSTATE_TOL)
+        | (u_r < renes - RENES_TOL)
+    )
     return SweepResult(
         meta=_meta(cfg, points=cfg.points, p_range="[0, 1]"),
         columns=["p", "u_left", "u_right", "renes", "analytic"],
-        rows=rows,
-        violations=violations,
+        rows=_sweep_rows(ps, cols, analytic),
+        violations=int(np.count_nonzero(bad)),
     )
+
+
+def _random_seeds(cfg: ScenarioConfig) -> range:
+    return range(cfg.seed, cfg.seed + cfg.samples)
 
 
 def run_random_scatter(cfg: ScenarioConfig) -> SweepResult:
     """Random-state cloud: check u_left >= u_right and u_right >= renes bound."""
     x, z = _pauli_xz()
-    renes = renes_bound(x, z)
-    rows = []
-    violations = 0
-    for i in range(cfg.samples):
-        rho, _ = random_state(cfg.seed + i)
-        rep = full_report(rho, x, z, seed=cfg.seed + i)
-        rows.append((i, rep.purity, rep.u_left, rep.u_right, renes))
-        if rep.u_left < rep.u_right - THEOREM_TOL or rep.u_right < renes - RENES_TOL:
-            violations += 1
+    seeds = _random_seeds(cfg)
+    cols = full_report_batch(random_states(seeds), x, z, seeds=seeds)
+    u_l, u_r, renes = cols["u_left"], cols["u_right"], cols["renes"]
+    bad = (u_l < u_r - THEOREM_TOL) | (u_r < renes - RENES_TOL)
     return SweepResult(
         meta=_meta(cfg, samples=cfg.samples),
         columns=["index", "purity", "u_left", "u_right", "renes"],
-        rows=rows,
-        violations=violations,
+        rows=list(zip(range(cfg.samples), cols["purity"].tolist(), u_l.tolist(),
+                      u_r.tolist(), renes.tolist())),
+        violations=int(np.count_nonzero(bad)),
     )
 
 
@@ -195,30 +192,24 @@ def run_random_purity(cfg: ScenarioConfig) -> SweepResult:
     """Bound versus purity, with explicit pure and maximally mixed endpoints
     appended after the random batch and per-bin means in the summary."""
     x, z = _pauli_xz()
-    rows = []
-    violations = 0
-    batch = []
-    for i in range(cfg.samples):
-        rho, _ = random_state(cfg.seed + i)
-        rep = full_report(rho, x, z, seed=cfg.seed + i)
-        rows.append((rep.purity, rep.u_right))
-        batch.append((rep.purity, rep.u_right))
-    for i in range(PURITY_APPENDED_PURE):
-        rho, _ = random_pure_state(cfg.seed + cfg.samples + i)
-        rep = full_report(rho, x, z)
-        rows.append((rep.purity, rep.u_right))
-        if abs(rep.u_right - 1.0) > THEOREM_TOL:
-            violations += 1
-    rep = full_report(maximally_mixed(), x, z)
-    rows.append((rep.purity, rep.u_right))
-    if abs(rep.purity - 0.125) > THEOREM_TOL or abs(rep.u_right - 2.0) > THEOREM_TOL:
-        violations += 1
+    pure_seeds = range(cfg.seed + cfg.samples, cfg.seed + cfg.samples + PURITY_APPENDED_PURE)
+    stack = np.concatenate([
+        random_states(_random_seeds(cfg)),
+        _stack(random_pure_state(s)[0] for s in pure_seeds),
+        maximally_mixed().matrix[None],
+    ])
+    cols = full_report_batch(stack, x, z)
+    pur, u_r = cols["purity"], cols["u_right"]
+    rows = list(zip(pur.tolist(), u_r.tolist()))
+    pure_bad = np.abs(u_r[cfg.samples:-1] - 1.0) > THEOREM_TOL
+    mixed_bad = abs(pur[-1] - 0.125) > THEOREM_TOL or abs(u_r[-1] - 2.0) > THEOREM_TOL
+    violations = int(np.count_nonzero(pure_bad)) + int(mixed_bad)
 
     edges = np.linspace(1.0 / 8.0, 1.0, PURITY_BINS + 1)
     counts = [0] * PURITY_BINS
     sums = [0.0] * PURITY_BINS
-    for pur, ur in batch:
-        k = min(int((pur - edges[0]) / (edges[1] - edges[0])), PURITY_BINS - 1)
+    for p, ur in rows[: cfg.samples]:
+        k = min(int((p - edges[0]) / (edges[1] - edges[0])), PURITY_BINS - 1)
         k = max(k, 0)
         counts[k] += 1
         sums[k] += ur
@@ -263,24 +254,15 @@ def run_xstate_check(cfg: ScenarioConfig) -> SweepResult:
     ]
     param_sets.extend(werner_params(p) for p in np.linspace(0.0, 1.0, 21))
     param_sets.extend(random_x_params(cfg.seed + i) for i in range(cfg.samples))
-    rows = []
-    violations = 0
-    for params in param_sets:
-        rep = full_report(make_x_state(params), x, z)
-        analytic = x_state_analytic(params)
-        max_dev = max(
-            abs(rep.u_left - rep.u_right),
-            abs(rep.u_left - analytic),
-            abs(rep.u_right - analytic),
-        )
-        rows.append((rep.u_left, rep.u_right, analytic, max_dev))
-        if max_dev > XSTATE_TOL:
-            violations += 1
+    cols = full_report_batch(_stack(make_x_state(params) for params in param_sets), x, z)
+    u_l, u_r = cols["u_left"], cols["u_right"]
+    analytic = np.array([x_state_analytic(params) for params in param_sets])
+    max_dev = np.maximum(np.maximum(np.abs(u_l - u_r), np.abs(u_l - analytic)), np.abs(u_r - analytic))
     return SweepResult(
         meta=_meta(cfg, samples=cfg.samples, fixed_rows=len(param_sets) - cfg.samples),
         columns=["u_left", "u_right", "analytic", "max_deviation"],
-        rows=rows,
-        violations=violations,
+        rows=list(zip(u_l.tolist(), u_r.tolist(), analytic.tolist(), max_dev.tolist())),
+        violations=int(np.count_nonzero(max_dev > XSTATE_TOL)),
     )
 
 
@@ -288,35 +270,17 @@ def run_keyrate(cfg: ScenarioConfig) -> SweepResult:
     """Key-rate bounds over random tripartite states with Bob measuring the
     same observables as Alice."""
     x, z = _pauli_xz()
-    rows = []
-    violations = 0
-    for i in range(cfg.samples):
-        rho, _ = random_state(cfg.seed + i)
-        rep = key_report(rho, x, z)
-        rows.append(
-            (
-                i,
-                rep.k_berta,
-                rep.k_improved,
-                rep.k_measured,
-                rep.delta,
-                rep.s_xb,
-                rep.s_zb,
-                rep.s_xx,
-                rep.s_zz,
-                int(rep.symmetric),
-            )
-        )
-        if (
-            abs((rep.k_improved - rep.k_berta) - max(0.0, rep.delta)) > 1e-12
-            or rep.k_measured > rep.k_improved + THEOREM_TOL
-        ):
-            violations += 1
+    cols = key_report_batch(random_states(_random_seeds(cfg)), x, z)
+    k_b, k_i, k_m = cols["k_berta"], cols["k_improved"], cols["k_measured"]
+    improvement = np.where(cols["delta"] > 0.0, cols["delta"], 0.0)
+    bad = (np.abs((k_i - k_b) - improvement) > 1e-12) | (k_m > k_i + THEOREM_TOL)
+    # the symmetric flag is written as 0/1, not as a JSON boolean
+    table = [cols[name].astype(int if name == "symmetric" else float).tolist() for name in KEY_REPORT_COLUMNS]
     return SweepResult(
         meta=_meta(cfg, samples=cfg.samples),
         columns=["index"] + list(KEY_REPORT_COLUMNS),
-        rows=rows,
-        violations=violations,
+        rows=list(zip(range(cfg.samples), *table)),
+        violations=int(np.count_nonzero(bad)),
     )
 
 
@@ -340,12 +304,13 @@ def run_eval(
     rho = load_state_file(cfg.state_path)
     x = pauli_basis("x") if basis_x is None else basis_x
     z = pauli_basis("z") if basis_z is None else basis_z
-    bound = full_report(rho, x, z)
-    keys = key_report(rho, x, z)
+    stack = as_three_qubit_stack(rho)
+    bounds = full_report_batch(stack, x, z)
+    keys = key_report_batch(stack, x, z, bounds=bounds)
     return {
         "meta": _meta(cfg, state=cfg.state_path, basis_x=x.label, basis_z=z.label),
-        "bounds": bound.to_dict(),
-        "keyrate": keys.to_dict(),
+        "bounds": BoundReport.from_columns(bounds).to_dict(),
+        "keyrate": KeyRateReport.from_columns(keys).to_dict(),
     }
 
 

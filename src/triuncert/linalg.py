@@ -1,7 +1,8 @@
-"""Dense complex-matrix kernel: products, adjoints, tensor products, Hermitian spectra.
+"""Dense complex-matrix kernel: adjoints, tensor products, Hermitian spectra.
 
 Everything here operates on plain ``numpy`` arrays (complex128) and is sized
-for the small matrices this package needs (dimension <= 64).
+for the small matrices this package needs (dimension <= 64). The Hermitian
+helpers also accept stacks of shape (..., d, d).
 """
 
 from __future__ import annotations
@@ -23,15 +24,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"matrix dimensions must be >= 1, got {m.shape}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with an explicit inner-dimension check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def dagger(a) -> np.ndarray:
@@ -56,21 +48,21 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest absolute entry of m - m^dagger."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermiticity_defect(m: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of m - m^dagger, per matrix of a (..., d, d) stack."""
+    return np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
 
 
 def eig_hermitian(h, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Full spectral decomposition of a Hermitian matrix.
+    """Full spectral decomposition of a Hermitian matrix or (..., d, d) stack.
 
     Raises ShapeError for non-square input and DomainError when the input
     deviates from Hermitian by more than ``tol`` (max-absolute-entry norm).
     """
-    h = as_complex_matrix(h)
-    if h.shape[0] != h.shape[1]:
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] < 1:
         raise ShapeError(f"eigendecomposition needs a square matrix, got {h.shape}")
-    defect = hermiticity_defect(h)
+    defect = float(np.max(hermiticity_defect(h), initial=0.0))
     if defect > tol:
         raise DomainError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.0e}")
     w, v = np.linalg.eigh(h)

@@ -2,7 +2,9 @@
 
 Measurements act on one subsystem of a multi-part state (index 0, particle A,
 by default). Outcomes with probability below ``PROB_CUTOFF`` carry a maximally
-mixed placeholder conditional state and are skipped in entropy sums.
+mixed placeholder conditional state and are skipped in entropy sums. The
+ensemble and outcome-distribution kernels work on (..., D, D) stacks; the
+public functions here apply them to one DensityMatrix.
 """
 
 from __future__ import annotations
@@ -116,6 +118,19 @@ def post_measurement_state(
     return DensityMatrix(rho.dims, out)
 
 
+def _check_outcome_probs(probs: np.ndarray) -> None:
+    """Outcome probabilities (..., k): none below -PROB_CUTOFF, each row
+    summing to one within 1e-10; the first failing row names the error."""
+    low = probs.min(axis=-1)
+    bad = low < -PROB_CUTOFF
+    if bad.any():
+        raise DomainError(f"negative outcome probability: {low[bad][0]:.3e}")
+    total = probs.sum(axis=-1)
+    bad = np.abs(total - 1.0) > 1e-10
+    if bad.any():
+        raise DomainError(f"outcome probabilities sum to {total[bad][0]:.12g}, expected 1")
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementEnsemble:
     """Outcome probabilities with the conditional states of the unmeasured rest."""
@@ -125,16 +140,41 @@ class MeasurementEnsemble:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        if np.any(p < -PROB_CUTOFF):
-            raise DomainError(f"negative outcome probability: {p.min():.3e}")
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise DomainError(f"outcome probabilities sum to {total:.12g}, expected 1")
+        _check_outcome_probs(p)
         if len(self.cond_states) != p.shape[0]:
             raise ShapeError("one conditional state per outcome required")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "cond_states", tuple(self.cond_states))
+
+
+def _ensemble_blocks(matrices: np.ndarray, dims: tuple[int, ...], basis: MeasurementBasis, subsystem: int):
+    """Measure ``subsystem`` of every state in a (..., D, D) stack with
+    subsystem dims ``dims``: outcome probabilities (..., k) and conditional
+    states of the rest (..., k, r, r), with the maximally mixed placeholder
+    for outcomes at or below PROB_CUTOFF. Nothing is validated here."""
+    n = len(dims)
+    lead = matrices.shape[:-2]
+    tensor = matrices.reshape(lead + dims + dims)
+    rest = [i for i in range(n) if i != subsystem]
+    rest_total = math.prod(dims[i] for i in rest)
+    row_sub = [Ellipsis] + list(range(n))
+    col_sub = [n + i for i in range(n)]
+    out_sub = [Ellipsis] + rest + [n + i for i in rest]
+    blocks = np.stack(
+        [
+            np.einsum(
+                tensor, row_sub + col_sub, v.conj(), [subsystem], v, [n + subsystem], out_sub
+            ).reshape(lead + (rest_total, rest_total))
+            for v in basis.vectors.T
+        ],
+        axis=-3,
+    )
+    probs = np.maximum(np.trace(blocks, axis1=-2, axis2=-1).real, 0.0)
+    kept = probs > PROB_CUTOFF
+    scale = np.where(kept, probs, 1.0)[..., None, None]
+    placeholder = np.eye(rest_total, dtype=np.complex128) / rest_total
+    return probs, np.where(kept[..., None, None], blocks / scale, placeholder)
 
 
 def measurement_ensemble(
@@ -145,32 +185,15 @@ def measurement_ensemble(
     if rho.subsystem_count < 2:
         raise DomainError("ensemble needs at least two subsystems")
     _check_subsystem(rho, basis, subsystem)
-    n = rho.subsystem_count
-    tensor = rho.matrix.reshape(rho.dims + rho.dims)
-    rest = [i for i in range(n) if i != subsystem]
-    rest_dims = tuple(rho.dims[i] for i in rest)
-    rest_total = math.prod(rest_dims)
-    row_sub = list(range(n))
-    col_sub = [n + i for i in range(n)]
-    out_sub = rest + [n + i for i in rest]
+    probs, conds = _ensemble_blocks(rho.matrix, rho.dims, basis, subsystem)
+    rest_dims = tuple(d for i, d in enumerate(rho.dims) if i != subsystem)
+    return MeasurementEnsemble(probs=probs, cond_states=tuple(DensityMatrix(rest_dims, c) for c in conds))
 
-    probs = []
-    blocks = []
-    for i in range(basis.dim):
-        v = basis.vector(i)
-        block = np.einsum(
-            tensor, row_sub + col_sub, v.conj(), [subsystem], v, [n + subsystem], out_sub
-        ).reshape(rest_total, rest_total)
-        probs.append(max(float(np.trace(block).real), 0.0))
-        blocks.append(block)
 
-    cond_states = []
-    for p, block in zip(probs, blocks):
-        if p > PROB_CUTOFF:
-            cond_states.append(DensityMatrix(rest_dims, block / p))
-        else:
-            cond_states.append(DensityMatrix(rest_dims, np.eye(rest_total) / rest_total))
-    return MeasurementEnsemble(probs=np.asarray(probs), cond_states=tuple(cond_states))
+def _outcome_probs(matrices: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
+    """Probabilities <v_i|rho|v_i> for a (..., d, d) stack of one-subsystem states."""
+    p = np.einsum("...ab,ai,bi->...i", matrices, basis.vectors.conj(), basis.vectors).real
+    return np.maximum(p, 0.0)
 
 
 def outcome_distribution(rho: DensityMatrix, basis: MeasurementBasis) -> np.ndarray:
@@ -179,8 +202,7 @@ def outcome_distribution(rho: DensityMatrix, basis: MeasurementBasis) -> np.ndar
         raise ShapeError(f"expected a single-subsystem state, got dims {rho.dims}")
     if rho.dim != basis.dim:
         raise ShapeError(f"basis dimension {basis.dim} != state dimension {rho.dim}")
-    p = np.einsum("ab,ai,bi->i", rho.matrix, basis.vectors.conj(), basis.vectors).real
-    return np.maximum(p, 0.0)
+    return _outcome_probs(rho.matrix, basis)
 
 
 def basis_to_json(basis: MeasurementBasis) -> dict:

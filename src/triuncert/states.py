@@ -3,6 +3,10 @@ random-state generator, partial trace, and purity.
 
 Basis convention: product basis |abc> ordered lexicographically with subsystem
 A as the most significant digit (|000>, |001>, ..., |111>).
+
+Validation and the random generator work on stacks: ``validate_density_stack``
+checks any (..., d, d) array of density matrices, and ``random_states`` draws
+an (N, 8, 8) stack with one seeded generator per sample.
 """
 
 from __future__ import annotations
@@ -13,10 +17,45 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import HERMITICITY_TOL, dagger, eig_hermitian, hermiticity_defect
+from .linalg import HERMITICITY_TOL, eig_hermitian, hermiticity_defect
 
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE_SLACK = -1e-9
+
+
+def validate_density_stack(matrices: np.ndarray) -> np.ndarray:
+    """Check a complex (..., d, d) stack of density matrices and return its
+    ascending spectra, shape (..., d).
+
+    Every matrix must have finite entries, be Hermitian within
+    ``HERMITICITY_TOL`` (largest absolute entry of m - m^dagger), have unit
+    trace within ``TRACE_TOL``, and have no eigenvalue below
+    ``MIN_EIGENVALUE_SLACK``. Each check runs over the whole stack before the
+    next; the first failing matrix in stack order names the DomainError.
+
+    Eigenvalue slack: eigenvalues in [-1e-9, 1e-12] are accepted and kept in
+    the returned spectrum as computed; the entropy functionals give every
+    eigenvalue at or below ``entropy.EIGENVALUE_CUTOFF`` (1e-12) zero weight.
+    They are neither clipped to zero nor renormalized away: pure states
+    routinely yield eigenvalues near -1e-17, and either alternative would
+    change the bits of their reports.
+    """
+    if not np.isfinite(matrices).all():
+        raise DomainError("matrix has non-finite (NaN or infinite) entries")
+    defect = hermiticity_defect(matrices)
+    bad = defect > HERMITICITY_TOL
+    if bad.any():
+        raise DomainError(f"not Hermitian: defect {defect[bad][0]:.3e} > {HERMITICITY_TOL:.0e}")
+    tr = np.trace(matrices, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > TRACE_TOL
+    if bad.any():
+        raise DomainError(f"trace {tr[bad][0]:.12g} differs from 1 by more than {TRACE_TOL:.0e}")
+    w = np.linalg.eigvalsh(matrices)
+    lowest = w[..., 0]
+    bad = lowest < MIN_EIGENVALUE_SLACK
+    if bad.any():
+        raise DomainError(f"min eigenvalue {lowest[bad][0]:.3g} < {MIN_EIGENVALUE_SLACK:.0e}")
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +65,8 @@ class DensityMatrix:
     ``dims`` records the subsystem dimensions in order (e.g. ``(2, 2, 2)``);
     ``matrix`` is the full operator on the product space. Validation happens at
     construction; instances are immutable. ``spectrum`` holds the ascending
-    eigenvalues computed during validation.
+    eigenvalues computed during validation (``validate_density_stack`` on a
+    stack of one).
     """
 
     dims: tuple[int, ...]
@@ -41,17 +81,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape != (total, total):
             raise ShapeError(f"matrix shape {m.shape} does not match dims {dims}")
-        if not np.isfinite(m).all():
-            raise DomainError("matrix has non-finite (NaN or infinite) entries")
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise DomainError(f"not Hermitian: defect {defect:.3e} > {HERMITICITY_TOL:.0e}")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise DomainError(f"trace {tr:.12g} differs from 1 by more than {TRACE_TOL:.0e}")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < MIN_EIGENVALUE_SLACK:
-            raise DomainError(f"min eigenvalue {w[0]:.3g} < {MIN_EIGENVALUE_SLACK:.0e}")
+        w = validate_density_stack(m[None])[0]
         m.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -183,37 +213,60 @@ class RandomStateRecipe:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (8,):
             raise ShapeError("expected 8 probabilities")
-        if np.any(probs < 0.0):
-            raise DomainError("probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise DomainError("probabilities must sum to 1")
-        if np.any(np.diff(probs) > 0.0):
-            raise DomainError("probabilities must be in descending order")
         e = np.asarray(self.unitary, dtype=np.complex128)
-        gram_defect = float(np.max(np.abs(e.conj().T @ e - np.eye(e.shape[1]))))
-        if gram_defect > 1e-10:
-            raise DomainError(f"eigenvector matrix is not unitary: defect {gram_defect:.3e}")
+        _check_recipes(probs[None], e[None])
         for arr in (probs, e):
             arr.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "unitary", e)
 
 
+def _check_recipes(probs: np.ndarray, unitaries: np.ndarray) -> None:
+    """RandomStateRecipe invariants over stacks: probs (N, 8) non-negative,
+    summing to one and descending; unitaries (N, 8, 8) with Gram defect at
+    most 1e-10."""
+    if np.any(probs < 0.0):
+        raise DomainError("probabilities must be non-negative")
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-12):
+        raise DomainError("probabilities must sum to 1")
+    if np.any(np.diff(probs, axis=-1) > 0.0):
+        raise DomainError("probabilities must be in descending order")
+    eye = np.eye(unitaries.shape[-1])
+    gram_defect = np.max(np.abs(np.swapaxes(unitaries, -1, -2).conj() @ unitaries - eye), axis=(-2, -1))
+    bad = gram_defect > 1e-10
+    if bad.any():
+        raise DomainError(f"eigenvector matrix is not unitary: defect {gram_defect[bad][0]:.3e}")
+
+
 def _hermitian_from_real(t: np.ndarray) -> np.ndarray:
     # H = D + (U^T + U) + i(L^T - L) with D/L/U the diagonal, strictly lower,
-    # and strictly upper triangular parts of T.
-    d = np.diag(np.diag(t))
+    # and strictly upper triangular parts of each matrix T of the stack.
+    d = np.triu(np.tril(t))
     upper = np.triu(t, 1)
     lower = np.tril(t, -1)
-    return d + upper.T + upper + 1j * (lower.T - lower)
+    return d + np.swapaxes(upper, -1, -2) + upper + 1j * (np.swapaxes(lower, -1, -2) - lower)
 
 
-def _assemble_random(seed: int, probs: np.ndarray, t: np.ndarray):
-    h = _hermitian_from_real(t)
-    evecs = eig_hermitian(h).eigenvectors
-    rho = (evecs * probs) @ dagger(evecs)
-    recipe = RandomStateRecipe(seed=seed, probs=probs, t_matrix=t, unitary=evecs)
-    return DensityMatrix((2, 2, 2), rho), recipe
+def _assemble_random(probs: np.ndarray, t: np.ndarray):
+    """State and eigenvector stacks of random draws with probs (N, 8) and
+    raw matrices t (N, 8, 8): each state mixes the eigenvectors of the
+    Hermitian matrix folded from its T with its probabilities."""
+    evecs = eig_hermitian(_hermitian_from_real(t)).eigenvectors
+    rho = (evecs * probs[:, None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
+    return rho, evecs
+
+
+def _one_random(seed: int, probs: np.ndarray, t: np.ndarray):
+    rho, evecs = _assemble_random(probs[None], t[None])
+    recipe = RandomStateRecipe(seed=seed, probs=probs, t_matrix=t, unitary=evecs[0])
+    return DensityMatrix((2, 2, 2), rho[0]), recipe
+
+
+def _draw_mixed(seed: int):
+    rng = np.random.default_rng(seed)
+    cascade = np.cumprod(rng.uniform(0.0, 1.0, size=8))
+    probs = cascade / cascade.sum()
+    return probs, rng.uniform(-1.0, 1.0, size=(8, 8))
 
 
 def random_state(seed: int):
@@ -228,11 +281,22 @@ def random_state(seed: int):
 
     Returns (DensityMatrix, RandomStateRecipe).
     """
-    rng = np.random.default_rng(seed)
-    cascade = np.cumprod(rng.uniform(0.0, 1.0, size=8))
-    probs = cascade / cascade.sum()
-    t = rng.uniform(-1.0, 1.0, size=(8, 8))
-    return _assemble_random(seed, probs, t)
+    return _one_random(seed, *_draw_mixed(seed))
+
+
+def random_states(seeds) -> np.ndarray:
+    """The (N, 8, 8) stack of ``random_state(seed)[0].matrix`` over ``seeds``,
+    bit for bit: one PCG64 draw per seed, then one batched eigendecomposition.
+
+    The recipe invariants are checked on the whole stack; the density-matrix
+    checks are left to the consumer (``full_report_batch`` validates its input
+    stack)."""
+    draws = [_draw_mixed(int(seed)) for seed in seeds]
+    probs = np.array([p for p, _ in draws]).reshape(-1, 8)
+    t = np.array([m for _, m in draws]).reshape(-1, 8, 8)
+    rho, evecs = _assemble_random(probs, t)
+    _check_recipes(probs, evecs)
+    return rho
 
 
 def random_pure_state(seed: int):
@@ -242,7 +306,21 @@ def random_pure_state(seed: int):
     t = rng.uniform(-1.0, 1.0, size=(8, 8))
     probs = np.zeros(8)
     probs[0] = 1.0
-    return _assemble_random(seed, probs, t)
+    return _one_random(seed, probs, t)
+
+
+def _trace_out(matrices: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of a (..., D, D) stack over subsystems ``dims``, keeping
+    ``keep`` (strictly increasing indices)."""
+    n = len(dims)
+    lead = matrices.shape[:-2]
+    tensor = matrices.reshape(lead + dims + dims)
+    row_sub = list(range(n))
+    col_sub = [n + i if i in keep else i for i in range(n)]
+    out_sub = [i for i in keep] + [n + i for i in keep]
+    reduced = np.einsum(tensor, [Ellipsis] + row_sub + col_sub, [Ellipsis] + out_sub)
+    total = math.prod(dims[i] for i in keep)
+    return reduced.reshape(lead + (total, total))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -255,19 +333,18 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise DomainError(f"subsystem indices must lie in [0, {n}), got {keep}")
     if any(b <= a for a, b in zip(keep, keep[1:])):
         raise DomainError(f"subsystem indices must be strictly increasing, got {keep}")
-    tensor = rho.matrix.reshape(rho.dims + rho.dims)
-    row_sub = list(range(n))
-    col_sub = [n + i if i in keep else i for i in range(n)]
-    out_sub = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(tensor, row_sub + col_sub, out_sub)
     kept_dims = tuple(rho.dims[i] for i in keep)
-    total = math.prod(kept_dims)
-    return DensityMatrix(kept_dims, reduced.reshape(total, total))
+    return DensityMatrix(kept_dims, _trace_out(rho.matrix, rho.dims, keep))
+
+
+def _purities(matrices: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of each matrix of an (..., d, d) stack."""
+    return np.einsum("...ij,...ji->...", matrices, matrices).real
 
 
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2), between 1/dim (maximally mixed) and 1 (pure)."""
-    return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
+    return float(_purities(rho.matrix))
 
 
 def density_matrix_to_json(rho: DensityMatrix) -> dict:

@@ -4,32 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import SX, SY, SZ, random_hermitian
+from helpers import SY, SZ, random_hermitian
 from triuncert.errors import DomainError, ShapeError
-from triuncert.linalg import dagger, eig_hermitian, kron, matmul
+from triuncert.linalg import dagger, eig_hermitian, kron
 
 finite_complex = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 complex_2x2 = arrays(np.complex128, (2, 2), elements=finite_complex)
-
-
-def test_matmul_identity_passthrough():
-    a = np.array([[1 + 2j, 3], [4, 5 - 1j]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_pauli_involution():
-    assert np.allclose(matmul(SX, SX), np.eye(2), atol=0)
-
-
-def test_matmul_sx_sz_matches_hand_expansion():
-    # entrywise expansion of the 2x2 product
-    expected = np.array([[0, -1], [1, 0]], dtype=np.complex128)
-    assert np.array_equal(matmul(SX, SZ), expected)
-
-
-def test_matmul_rejects_inner_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
 
 
 def test_dagger_fixes_real_symmetric():
